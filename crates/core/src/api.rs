@@ -788,7 +788,7 @@ pub trait GlobeRuntime {
     /// Starts background machinery, keeping `client_nodes` caller-driven.
     ///
     /// A no-op in runtimes that need none (the simulator); the TCP
-    /// runtime spawns store event loops here.
+    /// runtime hands its store nodes to the mesh's dispatch here.
     fn start(&mut self, client_nodes: &[NodeId]) {
         let _ = client_nodes;
     }
@@ -848,7 +848,7 @@ pub trait GlobeRuntime {
 /// an asynchronous call, poll for its result. Obtained from
 /// [`GlobeRuntime::engine_port`]; cloneable via `Arc`, so one port fans
 /// out to N concurrent load-generator threads while the runtime's own
-/// machinery (shard workers, store event loops) makes the progress.
+/// machinery (shard workers, TCP mesh threads) makes the progress.
 ///
 /// The contract mirrors the trait's issue/result split, minus the
 /// pumping duties: `try_result` never blocks and never sleeps — the

@@ -59,7 +59,7 @@ pub struct TransportFaults {
     /// service (bad hello, reader spawn failure); mirrored from the TCP
     /// mesh, zero elsewhere.
     pub rejected_frames: u64,
-    /// Service threads the OS refused to spawn (node event loops, shard
+    /// Service threads the OS refused to spawn (TCP node threads, shard
     /// workers, the timer thread): the runtime degrades observably
     /// instead of panicking.
     pub spawn_failures: u64,
@@ -191,9 +191,14 @@ impl MetricsStore {
 
     /// Accounts one protocol message of `kind` and `bytes` payload.
     pub fn record_msg(&mut self, kind: &'static str, bytes: usize) {
+        self.record_msgs(kind, 1, bytes);
+    }
+
+    /// Accounts `count` protocol messages of `kind`, `bytes` payload each.
+    pub fn record_msgs(&mut self, kind: &'static str, count: u64, bytes: usize) {
         let entry = self.traffic.entry(kind).or_default();
-        entry.count += 1;
-        entry.bytes += bytes as u64;
+        entry.count += count;
+        entry.bytes += count * bytes as u64;
     }
 
     /// Total messages across all kinds.

@@ -948,40 +948,57 @@ impl StoreReplica {
         {
             return;
         }
-        let peers: Vec<PeerStore> = self
-            .peers
-            .iter()
-            .copied()
-            .filter(|p| self.policy.in_scope(p.class))
-            .collect();
+        let sent_to = self.push_unsent(ctx, |replica, pending| {
+            let batched_run = pending.len() > 1
+                && replica.policy.propagation == Propagation::Update
+                && replica.policy.coherence_transfer == CoherenceTransfer::Partial
+                && pending.iter().all(|w| w.order.is_some());
+            if batched_run {
+                CoherenceMsg::WriteBatch {
+                    first_order: pending[0].order.unwrap_or(0),
+                    writes: pending.to_vec(),
+                    version: replica.applied.clone(),
+                }
+            } else {
+                replica.transfer_msg(pending)
+            }
+        });
+        if sent_to > 0 {
+            self.trace_event(ctx, ProtocolEvent::FanoutSent { peers: sent_to });
+        }
+    }
+
+    /// Sends every in-scope peer the log suffix it has not been sent
+    /// yet, built by `msg_for`. Peers at the same `peer_sent` offset get
+    /// one shared frame, built and encoded once. Returns how many peers
+    /// were sent to.
+    fn push_unsent(
+        &mut self,
+        ctx: &mut dyn NetCtx,
+        msg_for: impl Fn(&Self, &[LoggedWrite]) -> CoherenceMsg,
+    ) -> usize {
         let log_len = self.log.len();
-        let mut sent_to = 0usize;
-        for peer in peers {
+        let mut by_offset: Vec<(usize, Vec<NodeId>)> = Vec::new();
+        for peer in self.peers.iter().filter(|p| self.policy.in_scope(p.class)) {
             let sent = self.peer_sent.get(&peer.node).copied().unwrap_or(0);
             if sent >= log_len {
                 continue;
             }
-            let pending = self.log.suffix_from(sent);
-            let batched_run = pending.len() > 1
-                && self.policy.propagation == Propagation::Update
-                && self.policy.coherence_transfer == CoherenceTransfer::Partial
-                && pending.iter().all(|w| w.order.is_some());
-            let msg = if batched_run {
-                CoherenceMsg::WriteBatch {
-                    first_order: pending[0].order.unwrap_or(0),
-                    writes: pending.to_vec(),
-                    version: self.applied.clone(),
-                }
-            } else {
-                self.transfer_msg(pending)
-            };
-            self.comm.send(ctx, peer.node, &msg);
-            self.peer_sent.insert(peer.node, log_len);
-            sent_to += 1;
+            match by_offset.iter_mut().find(|(offset, _)| *offset == sent) {
+                Some((_, nodes)) => nodes.push(peer.node),
+                None => by_offset.push((sent, vec![peer.node])),
+            }
         }
-        if sent_to > 0 {
-            self.trace_event(ctx, ProtocolEvent::FanoutSent { peers: sent_to });
+        let mut sent_to = 0;
+        for (offset, nodes) in by_offset {
+            let msg = msg_for(self, self.log.suffix_from(offset));
+            self.comm.multicast(ctx, nodes.iter().copied(), &msg);
+            for node in &nodes {
+                self.peer_sent.insert(*node, log_len);
+            }
+            sent_to += nodes.len();
         }
+        sent_to
     }
 
     /// Receiver side of a group commit: the batch is applied atomically
@@ -2014,24 +2031,7 @@ impl StoreReplica {
             // Lazy or pull: the LazyPush timer / peer demands move data.
             return;
         }
-        let peers: Vec<PeerStore> = self
-            .peers
-            .iter()
-            .copied()
-            .filter(|p| self.policy.in_scope(p.class))
-            .collect();
-        let log_len = self.log.len();
-        let mut sent_to = 0usize;
-        for peer in peers {
-            let sent = self.peer_sent.get(&peer.node).copied().unwrap_or(0);
-            if sent >= log_len {
-                continue;
-            }
-            let msg = self.transfer_msg(self.log.suffix_from(sent));
-            self.comm.send(ctx, peer.node, &msg);
-            self.peer_sent.insert(peer.node, log_len);
-            sent_to += 1;
-        }
+        let sent_to = self.push_unsent(ctx, Self::transfer_msg);
         if sent_to > 0 {
             self.trace_event(ctx, ProtocolEvent::FanoutSent { peers: sent_to });
         }

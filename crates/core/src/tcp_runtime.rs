@@ -2,14 +2,15 @@
 //!
 //! [`GlobeTcp`] hosts the same address spaces, control objects, and
 //! replication protocols as [`crate::GlobeSim`], but over the TCP mesh of
-//! `globe-net`: every store runs its event loop on its own thread, and
-//! client nodes are driven from the caller's thread. Nothing in the
-//! protocol stack changes — that is the point of the sans-IO design (and
-//! of the paper's claim that the framework sits on ordinary transports).
+//! `globe-net`: after [`GlobeTcp::start`] every store node's events run to
+//! completion on the mesh thread that received them (see
+//! [`globe_net::tcp`]), and client nodes are driven from the caller's
+//! thread. Nothing in the protocol stack changes — that is the point of
+//! the sans-IO design (and of the paper's claim that the framework sits
+//! on ordinary transports).
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -41,7 +42,7 @@ fn no_control_error() -> RuntimeError {
 /// The Globe middleware over real TCP sockets on loopback.
 ///
 /// Build phase: add nodes, create objects, bind clients. Then call
-/// [`GlobeTcp::start`] to spawn the store event loops, and drive client
+/// [`GlobeTcp::start`] to hand the store nodes to the mesh, and drive client
 /// calls with [`GlobeTcp::read`] / [`GlobeTcp::write`] from the caller's
 /// thread. Shut down with [`GlobeTcp::shutdown`].
 pub struct GlobeTcp {
@@ -49,7 +50,7 @@ pub struct GlobeTcp {
     /// Caller-driven endpoints (client nodes, plus every node before
     /// `start()`), shared so the engine port can pump them from N
     /// load-generator threads. Store nodes leave this map at `start()`
-    /// when their event loops take ownership.
+    /// when the mesh takes over their dispatch.
     endpoints: HashMap<NodeId, Arc<Mutex<TcpEndpoint>>>,
     spaces: HashMap<NodeId, Arc<Mutex<AddressSpace>>>,
     names: NameSpace,
@@ -57,12 +58,10 @@ pub struct GlobeTcp {
     objects: HashMap<ObjectId, ObjectRecord>,
     history: SharedHistory,
     metrics: SharedMetrics,
-    threads: Vec<JoinHandle<()>>,
     /// A mesh endpoint that never hosts stores or clients, created by
     /// [`GlobeTcp::start`]: the caller's thread uses it to inject
     /// control-plane messages (policy changes, joins, leaves) into a
-    /// live deployment whose node endpoints are owned by their event
-    /// loops.
+    /// live deployment whose store endpoints the mesh dispatches.
     control: Option<TcpEndpoint>,
     next_client: u32,
     next_store: u32,
@@ -94,7 +93,6 @@ impl GlobeTcp {
             objects: HashMap::new(),
             history: shared_history(),
             metrics: config.build_metrics(),
-            threads: Vec::new(),
             control: None,
             next_client: 0,
             next_store: 0,
@@ -203,7 +201,7 @@ impl GlobeTcp {
                 let Some(shared) = endpoints.get(&node) else {
                     return;
                 };
-                let mut endpoint = shared.lock();
+                let endpoint = shared.lock();
                 let mut space = spaces[&node].lock();
                 plan::install_store(&mut space, object, replica);
                 let mut ctx = endpoint.ctx();
@@ -251,10 +249,11 @@ impl GlobeTcp {
         })
     }
 
-    /// Spawns the event loop of every node that hosts a store and is not
-    /// named in `client_nodes` (those stay caller-driven), plus the
-    /// control endpoint the caller's thread uses for live lifecycle and
-    /// policy operations.
+    /// Hands every node not named in `client_nodes` (those stay
+    /// caller-driven) to the mesh's run-to-completion dispatch, and
+    /// creates the control endpoint the caller's thread uses for live
+    /// lifecycle and policy operations. Events a node received before
+    /// this call are handled first, in order.
     pub fn start(&mut self, client_nodes: &[NodeId]) {
         self.started = true;
         if self.control.is_none() {
@@ -290,20 +289,20 @@ impl GlobeTcp {
                 }
             };
             let space = Arc::clone(&self.spaces[&node]);
-            // A refused thread leaves the node dark instead of crashing
-            // the deployment; the mesh counts it (`fault_stats`) and the
-            // failure surfaces through the shared metrics.
-            match endpoint.spawn_loop(move |event, ctx| {
+            // A refused node thread leaves the node dark instead of
+            // crashing the deployment; the mesh counts it (`fault_stats`)
+            // and the failure surfaces through the shared metrics.
+            let _ = endpoint.dispatch(move |event, ctx| {
                 space.lock().handle_event(event, ctx);
-            }) {
-                Ok(handle) => self.threads.push(handle),
-                Err(_) => continue,
-            }
+            });
         }
     }
 
     /// Sends one control-plane message from the caller's thread into the
-    /// live mesh.
+    /// live mesh. It is handed straight to the receiver's queue, so it
+    /// is queued before any client traffic the caller issues next (over
+    /// a socket, a first control message would wait for the receiver to
+    /// accept a fresh connection and could be overtaken).
     ///
     /// # Errors
     ///
@@ -315,10 +314,9 @@ impl GlobeTcp {
         to: NodeId,
         msg: &CoherenceMsg,
     ) -> Result<(), RuntimeError> {
-        let endpoint = self.control.as_mut().ok_or_else(no_control_error)?;
+        let endpoint = self.control.as_ref().ok_or_else(no_control_error)?;
         let comm = CommObject::new(object, self.metrics.clone());
-        let mut ctx = endpoint.ctx();
-        comm.send(&mut ctx, to, msg);
+        comm.send(&mut endpoint.inject_ctx(), to, msg);
         Ok(())
     }
 
@@ -337,9 +335,9 @@ impl GlobeTcp {
 
     /// Arms a freshly installed replica and has it join the object:
     /// directly when the node is still caller-driven, or by relaying a
-    /// `JoinRequest` through the control endpoint when the node's event
-    /// loop owns its endpoint (the home's `StateTransfer` reply then
-    /// arms the replica's timers on its own thread).
+    /// `JoinRequest` through the control endpoint when the mesh dispatches
+    /// the node (the home's `StateTransfer` reply then arms the
+    /// replica's timers on the node's own dispatch).
     fn activate_replica(
         &mut self,
         object: ObjectId,
@@ -348,7 +346,7 @@ impl GlobeTcp {
         class: StoreClass,
     ) -> Result<(), RuntimeError> {
         if let Some(endpoint) = self.endpoints.get(&node) {
-            let mut endpoint = endpoint.lock();
+            let endpoint = endpoint.lock();
             let mut ctx = endpoint.ctx();
             let mut space = self.spaces[&node].lock();
             space.start_object(object, &mut ctx);
@@ -449,7 +447,7 @@ impl GlobeTcp {
         msg: &CoherenceMsg,
     ) -> Result<(), RuntimeError> {
         if let Some(endpoint) = self.endpoints.get(&from) {
-            let mut endpoint = endpoint.lock();
+            let endpoint = endpoint.lock();
             let comm = CommObject::new(object, self.metrics.clone());
             let mut ctx = endpoint.ctx();
             comm.send(&mut ctx, to, msg);
@@ -579,8 +577,8 @@ impl GlobeTcp {
 
     /// A snapshot of the object's membership plus the home store's
     /// failure-detector verdicts (works on a live deployment: the home
-    /// replica's state sits behind the space lock, not captive on its
-    /// event-loop thread).
+    /// replica's state sits behind the space lock, not captive on a mesh
+    /// thread).
     ///
     /// # Errors
     ///
@@ -603,8 +601,7 @@ impl GlobeTcp {
 
     /// Fault injection: isolates (or heals) the node's address space —
     /// see [`GlobeRuntime::partition_node`]. Works on a live deployment:
-    /// the flag sits behind the space lock the event loop takes for
-    /// every event.
+    /// the flag sits behind the space lock every handled event takes.
     ///
     /// # Errors
     ///
@@ -642,7 +639,7 @@ impl GlobeTcp {
                 .endpoints
                 .get(&handle.node)
                 .ok_or(CallError::NotBound)?;
-            let mut endpoint = endpoint.lock();
+            let endpoint = endpoint.lock();
             if let Some(event) = endpoint.recv_timeout(Duration::from_millis(20)) {
                 let mut ctx = endpoint.ctx();
                 self.spaces[&handle.node]
@@ -681,7 +678,7 @@ impl GlobeTcp {
             .endpoints
             .get(&handle.node)
             .ok_or(CallError::NotBound)?;
-        let mut endpoint = endpoint.lock();
+        let endpoint = endpoint.lock();
         let mut ctx = endpoint.ctx();
         let mut space = self.spaces[&handle.node].lock();
         let control = space
@@ -715,8 +712,8 @@ impl GlobeTcp {
     /// [`crate::GlobeSim::set_policy`]. The home store broadcasts the
     /// new policy to every replica. On a live deployment (after
     /// [`GlobeTcp::start`]) the change rides the control plane: a
-    /// `PolicyUpdate` control message is delivered to the home node's
-    /// event loop, which adopts and broadcasts it.
+    /// `PolicyUpdate` control message is handled by the home node's
+    /// dispatch, which adopts and broadcasts it.
     ///
     /// # Errors
     ///
@@ -740,7 +737,7 @@ impl GlobeTcp {
             // Build phase: the home endpoint is still caller-driven, so
             // apply the change directly.
             record.policy = policy.clone();
-            let mut endpoint = shared.lock();
+            let endpoint = shared.lock();
             let mut ctx = endpoint.ctx();
             if let Some(store) = self.spaces[&home]
                 .lock()
@@ -780,12 +777,9 @@ impl GlobeTcp {
         self.metrics.clone()
     }
 
-    /// Stops the mesh; store threads exit on their next poll.
+    /// Stops the mesh and joins its threads.
     pub fn shutdown(&mut self) {
         self.mesh.shutdown();
-        for thread in self.threads.drain(..) {
-            let _ = thread.join();
-        }
     }
 }
 
@@ -809,7 +803,7 @@ impl crate::EnginePort for TcpPort {
             .endpoints
             .get(&handle.node)
             .ok_or(CallError::NotBound)?;
-        let mut endpoint = endpoint.lock();
+        let endpoint = endpoint.lock();
         let mut ctx = endpoint.ctx();
         let mut space = self
             .spaces
@@ -834,7 +828,7 @@ impl crate::EnginePort for TcpPort {
         // Client nodes are caller-driven: progress requires draining any
         // events the mesh has delivered to this node's endpoint.
         let endpoint = self.endpoints.get(&handle.node)?;
-        let mut endpoint = endpoint.lock();
+        let endpoint = endpoint.lock();
         while let Some(event) = endpoint.recv_timeout(Duration::ZERO) {
             let mut ctx = endpoint.ctx();
             self.spaces
@@ -893,7 +887,7 @@ impl GlobeRuntime for GlobeTcp {
         // Pump any already-arrived events for the caller-driven node
         // before checking, so polling makes progress.
         if let Some(endpoint) = self.endpoints.get(&handle.node) {
-            let mut endpoint = endpoint.lock();
+            let endpoint = endpoint.lock();
             while let Some(event) = endpoint.recv_timeout(Duration::ZERO) {
                 let mut ctx = endpoint.ctx();
                 self.spaces[&handle.node]
@@ -985,7 +979,7 @@ impl GlobeRuntime for GlobeTcp {
                 let Some(shared) = self.endpoints.get(&node) else {
                     continue;
                 };
-                let mut endpoint = shared.lock();
+                let endpoint = shared.lock();
                 if let Some(event) = endpoint.recv_timeout(Duration::ZERO) {
                     let mut ctx = endpoint.ctx();
                     self.spaces[&node].lock().handle_event(event, &mut ctx);
@@ -1005,8 +999,8 @@ impl GlobeRuntime for GlobeTcp {
     fn engine_port(&mut self) -> Option<Arc<dyn crate::EnginePort>> {
         // Only caller-driven endpoints remain in the map after start();
         // those are exactly the client nodes the engine may drive. The
-        // store event loops (the source of progress) must already be
-        // running for the port to be useful.
+        // store nodes (the source of progress) must already be
+        // dispatching for the port to be useful.
         Some(Arc::new(TcpPort {
             endpoints: self.endpoints.clone(),
             spaces: self.spaces.clone(),
@@ -1017,12 +1011,6 @@ impl GlobeRuntime for GlobeTcp {
 impl Default for GlobeTcp {
     fn default() -> Self {
         GlobeTcp::new()
-    }
-}
-
-impl Drop for GlobeTcp {
-    fn drop(&mut self) {
-        self.mesh.shutdown();
     }
 }
 

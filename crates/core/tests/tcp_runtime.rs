@@ -79,8 +79,8 @@ fn conference_page_over_real_sockets() {
 }
 
 /// The ROADMAP open item, closed: `set_policy` works on a live
-/// deployment — after `start()` has handed every store endpoint to its
-/// event-loop thread — by riding the control plane to the home store,
+/// deployment — after `start()` has handed every store endpoint to the
+/// mesh's dispatch — by riding the control plane to the home store,
 /// which adopts the policy and broadcasts it to the replicas.
 #[test]
 fn set_policy_works_on_a_live_deployment() {
@@ -107,7 +107,7 @@ fn set_policy_works_on_a_live_deployment() {
     let reader = globe
         .bind(object, writer_node, BindOptions::new().read_node(cache))
         .expect("bind reader");
-    // Every store node spawns its event loop; only the client node
+    // Every store node is handed to the mesh's dispatch; only the client node
     // stays caller-driven. The old behavior here was a hard
     // `Unsupported` error from set_policy.
     globe.start(&[writer_node]);

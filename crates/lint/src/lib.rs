@@ -40,6 +40,7 @@ pub const LOCK_FILES: &[&str] = &[
     "crates/core/src/shard_runtime.rs",
     "crates/core/src/store_engine.rs",
     "crates/core/src/space.rs",
+    "crates/net/src/tcp.rs",
 ];
 
 /// The clock implementation, exempt from the time rule (it is the one

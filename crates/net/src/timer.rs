@@ -8,10 +8,16 @@
 //! runs the timer's delivery closure, so each runtime decides for itself
 //! what "deliver a timer event" means (push onto a socket endpoint's
 //! inbox, route into a shard worker's channel, ...).
+//!
+//! Delivery closures run on the timer thread *with the heap lock held*.
+//! A closure must therefore only hand the event off: one that arms a
+//! timer on the same service (or runs a protocol handler that might)
+//! deadlocks the timer thread on its own lock.
 
 use std::collections::{BinaryHeap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -49,8 +55,10 @@ impl Ord for TimerEntry {
 ///
 /// Arm a timer with a delivery closure; the service invokes the closure
 /// on the timer thread once the deadline passes, unless the timer was
-/// cancelled first. Delivery closures should only hand the event off
-/// (send on a channel) — they run on the shared timer thread.
+/// cancelled first. Delivery closures must only hand the event off
+/// (send on a channel, push onto a queue): they run on the shared timer
+/// thread under the heap lock, so a closure that arms a timer on the
+/// same service deadlocks.
 ///
 /// # Examples
 ///
@@ -72,6 +80,8 @@ pub struct WallTimer {
     cond: Condvar,
     next_id: AtomicU64,
     shutdown: AtomicBool,
+    /// The timer thread, joined by [`WallTimer::stop`].
+    worker: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl WallTimer {
@@ -99,9 +109,10 @@ impl WallTimer {
     pub fn try_spawn() -> std::io::Result<Arc<Self>> {
         let service = WallTimer::service();
         let worker = Arc::clone(&service);
-        std::thread::Builder::new()
+        let handle = std::thread::Builder::new()
             .name("globe-timer".into())
             .spawn(move || worker.run())?;
+        *service.worker.lock() = Some(handle);
         Ok(service)
     }
 
@@ -112,6 +123,7 @@ impl WallTimer {
             cond: Condvar::new(),
             next_id: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
+            worker: Mutex::new(None),
         })
     }
 
@@ -133,13 +145,19 @@ impl WallTimer {
         if self.shutdown.load(Ordering::SeqCst) {
             return id;
         }
+        let deadline = Instant::now() + delay;
+        // The timer thread sleeps until the current head's deadline; it
+        // only needs waking when the new entry becomes the head.
+        let earliest = heap.peek().is_none_or(|head| deadline < head.deadline);
         heap.push(TimerEntry {
-            deadline: Instant::now() + delay,
+            deadline,
             id,
             deliver: Box::new(deliver),
         });
         drop(heap);
-        self.cond.notify_one();
+        if earliest {
+            self.cond.notify_one();
+        }
         id
     }
 
@@ -148,7 +166,7 @@ impl WallTimer {
         self.cancelled.lock().insert(id);
     }
 
-    /// Stops the timer thread; pending timers never fire.
+    /// Stops and joins the timer thread; pending timers never fire.
     pub fn stop(&self) {
         // Flag and drain under one heap lock, pairing with the locked
         // check in arm(): delivery closures may hold strong references
@@ -161,6 +179,12 @@ impl WallTimer {
         drop(heap);
         self.cancelled.lock().clear();
         self.cond.notify_one();
+        let worker = self.worker.lock().take();
+        if let Some(worker) = worker {
+            if worker.thread().id() != std::thread::current().id() {
+                let _ = worker.join();
+            }
+        }
     }
 
     fn run(&self) {
@@ -211,6 +235,47 @@ mod tests {
         });
         timer.arm(Duration::from_millis(20), move || {
             let _ = early.send(1u32);
+        });
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(1));
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(2));
+        timer.stop();
+    }
+
+    #[test]
+    fn timer_armed_before_the_head_fires_on_time() {
+        let timer = WallTimer::spawn();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let late = tx.clone();
+        // The timer thread now sleeps towards a head 30 s away ...
+        timer.arm(Duration::from_secs(30), move || {
+            let _ = late.send("late");
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        // ... so arming an earlier timer must wake it.
+        let armed = Instant::now();
+        timer.arm(Duration::from_millis(20), move || {
+            let _ = tx.send("early");
+        });
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok("early"));
+        assert!(
+            armed.elapsed() < Duration::from_secs(2),
+            "fired after {:?}",
+            armed.elapsed()
+        );
+        timer.stop();
+    }
+
+    #[test]
+    fn later_timer_still_fires_behind_the_head() {
+        let timer = WallTimer::spawn();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let first = tx.clone();
+        timer.arm(Duration::from_millis(20), move || {
+            let _ = first.send(1u32);
+        });
+        // Later than the head: armed without waking the timer thread.
+        timer.arm(Duration::from_millis(40), move || {
+            let _ = tx.send(2u32);
         });
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(1));
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(2));

@@ -2,42 +2,48 @@
 //!
 //! [`GlobeShard`] is the third backend behind [`GlobeRuntime`], built for
 //! throughput on one machine: objects hash-partition across N shard
-//! workers — real threads fed by channels — and each shard owns every
-//! replica (control object, store, sessions) of the objects in its slice
-//! of the object space. Within a shard the full replication/semantics
-//! machinery of the simulator runs unchanged; across shards, independent
-//! objects make progress in parallel, so a multi-object workload scales
-//! with the shard count instead of being serialized through one event
-//! loop.
+//! lanes, each with a worker thread and a FIFO queue of events, and each
+//! lane owns every replica (control object, store, sessions) of the
+//! objects in its slice of the object space. Within a lane the full
+//! replication/semantics machinery of the simulator runs unchanged;
+//! across lanes, independent objects make progress in parallel, so a
+//! multi-object workload scales with the lane count instead of being
+//! serialized through one event loop.
 //!
 //! Routing is by *object*, not by node: a message addressed to node X
-//! about object O is delivered to the worker owning O, which handles it
+//! about object O is queued on the lane owning O, which handles it
 //! inside its own copy of X's address space. That keeps each object's
 //! protocol single-threaded (no per-object races to reason about) while
 //! letting the set of objects exploit every core. Timers come from the
 //! shared wall-clock [`globe_net::timer::WallTimer`] service, exactly as
 //! in the TCP runtime.
 //!
-//! Unlike [`crate::GlobeTcp`], no node is caller-driven: every event is
-//! handled by a shard worker, and the caller's thread only issues calls
-//! and polls results. [`GlobeShard::set_policy`] therefore works on a
-//! live deployment — the home store's state sits behind the shard lock,
-//! not captive on a remote event-loop thread.
+//! Handlers run on two kinds of thread, always under the lane's space
+//! lock. The lane worker handles one queued event per lock acquisition.
+//! A thread issuing a *read* runs to completion instead: before it
+//! releases the lock it handles everything queued on the lane, so a read
+//! its lane can serve (at a mirror, under a lease or forwarded to the
+//! home) has its result waiting when the issue returns. A write only
+//! queues its first frame and leaves the rest to the worker, which is
+//! what lets group commit share one hand-off across a batch. Events are
+//! popped only under the space lock, so each lane's events run in FIFO
+//! order whichever thread handles them, and timer closures only queue.
+//! No event-loop thread owns a replica, so [`GlobeShard::set_policy`]
+//! works on a live deployment.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use globe_coherence::{ClientId, StoreClass, StoreId};
 use globe_naming::{ContactRecord, LocationService, NameSpace, ObjectId};
 use globe_net::timer::WallTimer;
 use globe_net::{Event, NetCtx, NodeId, RegionId, SimTime, TimerId, TimerToken};
 use globe_wire::WireDecode;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::lifecycle::MembershipView;
 use crate::plan::{self, ObjectRecord};
@@ -54,17 +60,62 @@ pub const DEFAULT_SHARDS: usize = 4;
 /// cannot starve the shard workers of their space locks.
 const POLL_BACKOFF: Duration = Duration::from_micros(200);
 
-/// An event en route to a shard worker: which node's address space must
+/// How long an idle lane worker waits before re-checking for shutdown.
+const IDLE_WAIT: Duration = Duration::from_millis(20);
+
+/// An event en route to a shard lane: which node's address space must
 /// handle it, and the event itself.
 type ShardEvent = (NodeId, Event);
 
-/// The per-object state a shard worker owns: one [`AddressSpace`] per
-/// node, holding only the control objects of this shard's objects.
-type ShardSpaces = Arc<Mutex<HashMap<NodeId, AddressSpace>>>;
+/// One shard lane: the address spaces holding the control objects of
+/// the lane's objects, and the FIFO of events waiting to run in them.
+#[derive(Default)]
+struct Lane {
+    spaces: Mutex<HashMap<NodeId, AddressSpace>>,
+    /// Popped only while `spaces` is held, so two threads draining the
+    /// lane cannot reorder its events.
+    queue: Mutex<LaneQueue>,
+    /// Wakes the lane worker, the only thread that ever waits on it.
+    ready: Condvar,
+}
 
-/// Shared routing fabric: one inbox per shard plus the timer service.
+#[derive(Default)]
+struct LaneQueue {
+    events: VecDeque<ShardEvent>,
+    /// The worker is blocked on `ready`. Only the first push after it
+    /// started waiting wakes it: a wake costs a system call.
+    waiting: bool,
+    /// A read's issuer will drain the queue before it releases the
+    /// lane, so a push needs no wake at all.
+    draining: bool,
+}
+
+impl Lane {
+    fn push(&self, event: ShardEvent) {
+        let mut queue = self.queue.lock();
+        queue.events.push_back(event);
+        let wake = !queue.draining && std::mem::take(&mut queue.waiting);
+        drop(queue);
+        if wake {
+            self.ready.notify_one();
+        }
+    }
+
+    /// Blocks the lane worker until an event is queued, or for at most
+    /// [`IDLE_WAIT`].
+    fn idle(&self) {
+        let mut queue = self.queue.lock();
+        if queue.events.is_empty() {
+            queue.waiting = true;
+            self.ready.wait_for(&mut queue, IDLE_WAIT);
+            queue.waiting = false;
+        }
+    }
+}
+
+/// Shared routing fabric: the lanes plus the timer service.
 struct ShardRouter {
-    inboxes: Vec<Sender<ShardEvent>>,
+    lanes: Vec<Lane>,
     timer: Arc<WallTimer>,
     epoch: Instant,
     metrics: SharedMetrics,
@@ -76,21 +127,89 @@ impl ShardRouter {
         // in the envelope id, so replies route back to the copy of the
         // space whose detector sent the ping.
         if object.raw() >= crate::space::NODE_SCOPE_BASE {
-            return ((object.raw() - crate::space::NODE_SCOPE_BASE) % self.inboxes.len() as u64)
+            return ((object.raw() - crate::space::NODE_SCOPE_BASE) % self.lanes.len() as u64)
                 as usize;
         }
-        (object.raw() % self.inboxes.len() as u64) as usize
+        (object.raw() % self.lanes.len() as u64) as usize
+    }
+
+    fn lane(&self, object: ObjectId) -> &Lane {
+        &self.lanes[self.shard_of(object)]
     }
 
     fn deliver(&self, object: ObjectId, node: NodeId, event: Event) {
-        // A send can only fail after shutdown, when the receivers are
-        // gone; dropping the event then is correct.
-        let _ = self.inboxes[self.shard_of(object)].send((node, event));
+        self.lane(object).push((node, event));
+    }
+
+    /// Runs an event in its node's space; `spaces` is the locked map of
+    /// the lane the event was queued on.
+    fn dispatch(
+        self: &Arc<Self>,
+        spaces: &mut HashMap<NodeId, AddressSpace>,
+        (node, event): ShardEvent,
+    ) {
+        if let Some(space) = spaces.get_mut(&node) {
+            let mut ctx = ShardCtx { node, router: self };
+            space.handle_event(event, &mut ctx);
+        }
+    }
+
+    /// Issues one client call for `handle`. A read then drains its lane
+    /// before releasing the space lock, so a read its lane can serve is
+    /// complete on return; a write leaves its events to the lane worker.
+    fn issue(
+        self: &Arc<Self>,
+        handle: &ClientHandle,
+        inv: InvocationMessage,
+        is_read: bool,
+    ) -> Result<RequestId, CallError> {
+        let lane = self.lane(handle.object);
+        let mut spaces = lane.spaces.lock();
+        let control = spaces
+            .get_mut(&handle.node)
+            .and_then(|space| space.control_mut(handle.object))
+            .ok_or(CallError::NotBound)?;
+        let mut ctx = ShardCtx {
+            node: handle.node,
+            router: self,
+        };
+        if !is_read {
+            return control.client_write(handle.client, inv, &mut ctx);
+        }
+        lane.queue.lock().draining = true;
+        let issued = control.client_read(handle.client, inv, &mut ctx);
+        // Drain until empty. This ends: other issuers of this lane wait
+        // for `spaces`, so only the timer thread and other lanes can
+        // queue more meanwhile, and `draining` spares them waking the
+        // worker for events this loop handles anyway.
+        loop {
+            let mut queue = lane.queue.lock();
+            let Some(event) = queue.events.pop_front() else {
+                queue.draining = false;
+                break;
+            };
+            drop(queue);
+            self.dispatch(&mut spaces, event);
+        }
+        issued
+    }
+
+    /// Takes the result of `req` if it has completed.
+    fn take_result(
+        &self,
+        handle: &ClientHandle,
+        req: RequestId,
+    ) -> Option<Result<Bytes, CallError>> {
+        let mut spaces = self.lane(handle.object).spaces.lock();
+        spaces
+            .get_mut(&handle.node)?
+            .control_mut(handle.object)?
+            .take_result(handle.client, req)
     }
 }
 
 /// [`NetCtx`] for protocol code running on behalf of one node inside a
-/// shard (or on the caller's thread while issuing a call).
+/// lane, on its worker or on a thread issuing a call.
 struct ShardCtx<'a> {
     node: NodeId,
     router: &'a Arc<ShardRouter>,
@@ -138,29 +257,19 @@ impl NetCtx for ShardCtx<'_> {
     }
 }
 
-fn shard_loop(
-    inbox: Receiver<ShardEvent>,
-    spaces: ShardSpaces,
-    router: Arc<ShardRouter>,
-    shutdown: Arc<AtomicBool>,
-) {
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match inbox.recv_timeout(Duration::from_millis(20)) {
-            Ok((node, event)) => {
-                let mut spaces = spaces.lock();
-                if let Some(space) = spaces.get_mut(&node) {
-                    let mut ctx = ShardCtx {
-                        node,
-                        router: &router,
-                    };
-                    space.handle_event(event, &mut ctx);
-                }
+/// A lane worker: handles the lane's events one per acquisition of its
+/// space lock, so issuers waiting for the lock get in between events.
+fn shard_loop(router: &Arc<ShardRouter>, index: usize, shutdown: &AtomicBool) {
+    let lane = &router.lanes[index];
+    while !shutdown.load(Ordering::SeqCst) {
+        let mut spaces = lane.spaces.lock();
+        let next = lane.queue.lock().events.pop_front();
+        match next {
+            Some(event) => router.dispatch(&mut spaces, event),
+            None => {
+                drop(spaces);
+                lane.idle();
             }
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => return,
         }
     }
 }
@@ -170,8 +279,9 @@ fn shard_loop(
 /// Build phase is identical to the other runtimes: add nodes, create
 /// objects, bind clients. [`GlobeShard::start`] spawns the shard
 /// workers (issuing a call starts them implicitly, so the polling
-/// contract of [`GlobeRuntime::result`] holds regardless); the caller's
-/// thread drives client calls and the workers do everything else.
+/// contract of [`GlobeRuntime::result`] holds regardless). The caller's
+/// thread issues client calls and runs each read to completion; the
+/// workers do everything else.
 ///
 /// # Examples
 ///
@@ -200,8 +310,6 @@ fn shard_loop(
 /// ```
 pub struct GlobeShard {
     router: Arc<ShardRouter>,
-    shards: Vec<ShardSpaces>,
-    receivers: Vec<Option<Receiver<ShardEvent>>>,
     threads: Vec<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
     nodes: HashSet<NodeId>,
@@ -241,16 +349,7 @@ impl GlobeShard {
 
     /// Creates a runtime with an explicit shard count and configuration.
     pub fn with_shards(shards: usize, config: RuntimeConfig) -> Self {
-        let shards = shards.max(1);
-        let mut inboxes = Vec::with_capacity(shards);
-        let mut receivers = Vec::with_capacity(shards);
-        let mut spaces = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = unbounded();
-            inboxes.push(tx);
-            receivers.push(Some(rx));
-            spaces.push(Arc::new(Mutex::new(HashMap::new())));
-        }
+        let lanes = (0..shards.max(1)).map(|_| Lane::default()).collect();
         let metrics = config.build_metrics();
         // A refused timer thread degrades the runtime (timers inert)
         // instead of panicking; the failure is counted like any other
@@ -261,13 +360,11 @@ impl GlobeShard {
         }
         GlobeShard {
             router: Arc::new(ShardRouter {
-                inboxes,
+                lanes,
                 timer,
                 epoch: Instant::now(),
                 metrics: metrics.clone(),
             }),
-            shards: spaces,
-            receivers,
             threads: Vec::new(),
             stop: Arc::new(AtomicBool::new(false)),
             nodes: HashSet::new(),
@@ -293,7 +390,7 @@ impl GlobeShard {
 
     /// The number of shard worker lanes.
     pub fn num_shards(&self) -> usize {
-        self.router.inboxes.len()
+        self.router.lanes.len()
     }
 
     /// The determinism seed this runtime was constructed with.
@@ -323,6 +420,10 @@ impl GlobeShard {
         self.router.shard_of(object)
     }
 
+    fn lane(&self, object: ObjectId) -> &Lane {
+        self.router.lane(object)
+    }
+
     /// Shared creation routine behind [`ObjectSpec`]; every replica of
     /// the object lands in the shard owning the object's hash slice.
     fn create_object_impl(
@@ -343,7 +444,6 @@ impl GlobeShard {
         let object = creation.object;
         creation.register_locations(&mut self.locations, |_| RegionId::new(0));
         let lane = self.router.shard_of(object);
-        let shard = Arc::clone(&self.shards[lane]);
         let router = &self.router;
         let metrics = self.metrics.clone();
         let detector = self.detector;
@@ -357,7 +457,7 @@ impl GlobeShard {
             self.tuning,
             &self.storage,
             |node, replica| {
-                let mut spaces = shard.lock();
+                let mut spaces = router.lanes[lane].spaces.lock();
                 let space = spaces.entry(node).or_insert_with(|| {
                     let mut space =
                         AddressSpace::with_scope(node, metrics.clone(), detector, lane as u64);
@@ -376,7 +476,7 @@ impl GlobeShard {
     /// The live `(is_home, epoch)` claim of the replica at `node` in the
     /// object's lane.
     fn replica_claim(&self, object: ObjectId, node: NodeId) -> Option<(bool, u64)> {
-        let spaces = self.shards[self.router.shard_of(object)].lock();
+        let spaces = self.lane(object).spaces.lock();
         let store = spaces.get(&node)?.control(object)?.store()?;
         Some((store.is_home(), store.home_epoch()))
     }
@@ -421,7 +521,7 @@ impl GlobeShard {
         let session =
             session.into_session(client, object, self.history.clone(), self.metrics.clone());
         let lane = self.shard_of(object);
-        let mut spaces = self.shards[lane].lock();
+        let mut spaces = self.router.lanes[lane].spaces.lock();
         let space = spaces.entry(node).or_insert_with(|| {
             let mut space =
                 AddressSpace::with_scope(node, self.metrics.clone(), self.detector, lane as u64);
@@ -436,22 +536,22 @@ impl GlobeShard {
         })
     }
 
-    /// Spawns the shard workers. `client_nodes` is accepted for
-    /// signature parity with the other runtimes but ignored: no node is
-    /// caller-driven here — every event is handled by a shard worker.
+    /// Spawns the lane workers. `client_nodes` is accepted for signature
+    /// parity with the other runtimes but ignored: no node is
+    /// caller-driven here. A lane's events run on its worker, except
+    /// that a thread issuing a read drains the lane itself before the
+    /// issue returns.
     pub fn start(&mut self, _client_nodes: &[NodeId]) {
         if self.started {
             return;
         }
         self.started = true;
-        for (index, slot) in self.receivers.iter_mut().enumerate() {
-            let Some(inbox) = slot.take() else { continue };
-            let spaces = Arc::clone(&self.shards[index]);
+        for index in 0..self.router.lanes.len() {
             let router = Arc::clone(&self.router);
             let stop = Arc::clone(&self.stop);
             match std::thread::Builder::new()
                 .name(format!("globe-shard-{index}"))
-                .spawn(move || shard_loop(inbox, spaces, router, stop))
+                .spawn(move || shard_loop(&router, index, &stop))
             {
                 Ok(handle) => self.threads.push(handle),
                 Err(_) => {
@@ -470,31 +570,18 @@ impl GlobeShard {
     }
 
     /// Issues one client call from the caller's thread, returning its
-    /// request id without waiting for the reply.
+    /// request id without waiting for the reply; see [`ShardRouter::issue`]
+    /// for which calls complete before it returns.
     fn issue_call(
         &mut self,
         handle: &ClientHandle,
         inv: InvocationMessage,
         is_read: bool,
     ) -> Result<RequestId, CallError> {
-        // The polling contract promises progress; the workers are the
-        // only source of progress here, so make sure they run.
+        // The polling contract promises progress; writes and timers
+        // progress only on the workers, so make sure they run.
         self.ensure_started();
-        let shard = Arc::clone(&self.shards[self.shard_of(handle.object)]);
-        let mut spaces = shard.lock();
-        let control = spaces
-            .get_mut(&handle.node)
-            .and_then(|space| space.control_mut(handle.object))
-            .ok_or(CallError::NotBound)?;
-        let mut ctx = ShardCtx {
-            node: handle.node,
-            router: &self.router,
-        };
-        if is_read {
-            control.client_read(handle.client, inv, &mut ctx)
-        } else {
-            control.client_write(handle.client, inv, &mut ctx)
-        }
+        self.router.issue(handle, inv, is_read)
     }
 
     fn pump_client(
@@ -505,7 +592,7 @@ impl GlobeShard {
     ) -> Result<Bytes, CallError> {
         let deadline = Instant::now() + timeout;
         loop {
-            if let Some(result) = self.take_result(handle, req) {
+            if let Some(result) = self.router.take_result(handle, req) {
                 return result;
             }
             if Instant::now() > deadline {
@@ -513,18 +600,6 @@ impl GlobeShard {
             }
             std::thread::sleep(POLL_BACKOFF);
         }
-    }
-
-    fn take_result(
-        &mut self,
-        handle: &ClientHandle,
-        req: RequestId,
-    ) -> Option<Result<Bytes, CallError>> {
-        let mut spaces = self.shards[self.shard_of(handle.object)].lock();
-        spaces
-            .get_mut(&handle.node)?
-            .control_mut(handle.object)?
-            .take_result(handle.client, req)
     }
 
     /// Changes an object's replication policy at run time; the home
@@ -551,7 +626,7 @@ impl GlobeShard {
             .ok_or(RuntimeError::UnknownObject(object))?;
         record.policy = policy.clone();
         let home = record.home_node;
-        let mut spaces = self.shards[self.router.shard_of(object)].lock();
+        let mut spaces = self.lane(object).spaces.lock();
         if let Some(store) = spaces
             .get_mut(&home)
             .and_then(|space| space.control_mut(object))
@@ -611,7 +686,7 @@ impl GlobeShard {
             },
         );
         let lane = self.shard_of(object);
-        let mut spaces = self.shards[lane].lock();
+        let mut spaces = self.router.lanes[lane].spaces.lock();
         let space = spaces.entry(node).or_insert_with(|| {
             let mut space =
                 AddressSpace::with_scope(node, self.metrics.clone(), self.detector, lane as u64);
@@ -639,7 +714,7 @@ impl GlobeShard {
         new_store: StoreId,
         reroute_reads: bool,
     ) {
-        let mut spaces = self.shards[self.shard_of(object)].lock();
+        let mut spaces = self.lane(object).spaces.lock();
         for space in spaces.values_mut() {
             if let Some(control) = space.control_mut(object) {
                 control.reroute_sessions(old_home, new_home, new_store, reroute_reads);
@@ -668,7 +743,7 @@ impl GlobeShard {
         let (_, failover) = plan::plan_remove_store(record, node, view.as_ref())?;
         self.locations.unregister(object, node);
         let store = {
-            let mut spaces = self.shards[self.shard_of(object)].lock();
+            let mut spaces = self.lane(object).spaces.lock();
             spaces
                 .get_mut(&node)
                 .and_then(|space| space.control_mut(object))
@@ -727,7 +802,7 @@ impl GlobeShard {
             },
         )?;
         {
-            let mut spaces = self.shards[self.shard_of(object)].lock();
+            let mut spaces = self.lane(object).spaces.lock();
             let control = spaces
                 .get_mut(&node)
                 .and_then(|space| space.control_mut(object))
@@ -736,7 +811,7 @@ impl GlobeShard {
         }
         if let Some(f) = &failover {
             // Promote the winner before the fresh replica's join reaches
-            // it (same shard inbox, so ordering holds).
+            // it (same lane queue, so ordering holds).
             let comm = CommObject::new(object, self.metrics.clone());
             let mut ctx = ShardCtx {
                 node,
@@ -745,7 +820,7 @@ impl GlobeShard {
             comm.send(&mut ctx, f.new_home, &f.elect_msg());
             self.reroute_sessions(object, f.old_home, f.new_home, f.new_home_store, false);
         }
-        let mut spaces = self.shards[self.shard_of(object)].lock();
+        let mut spaces = self.lane(object).spaces.lock();
         let space = spaces.get_mut(&node).ok_or(RuntimeError::NoSuchReplica)?;
         let mut ctx = ShardCtx {
             node,
@@ -775,8 +850,8 @@ impl GlobeShard {
         } else {
             self.partitioned.remove(&node);
         }
-        for shard in &self.shards {
-            if let Some(space) = shard.lock().get_mut(&node) {
+        for lane in &self.router.lanes {
+            if let Some(space) = lane.spaces.lock().get_mut(&node) {
                 space.set_partitioned(isolated);
             }
         }
@@ -797,7 +872,7 @@ impl GlobeShard {
         // The record may predate an unattended election: follow the
         // replicas' own claim of where the sequencer lives.
         let (home_node, _, _) = plan::effective_home(record, |n| self.replica_claim(object, n));
-        let spaces = self.shards[self.router.shard_of(object)].lock();
+        let spaces = self.lane(object).spaces.lock();
         let home_space = spaces.get(&home_node);
         Ok(plan::membership_view(object, record, home_node, |peer| {
             home_space
@@ -828,8 +903,9 @@ impl GlobeShard {
         self.metrics.clone()
     }
 
-    /// Stops the workers and the timer service. Idempotent; calls after
-    /// shutdown fail with [`CallError::TimedOut`].
+    /// Stops the workers and the timer service. Idempotent; after
+    /// shutdown, writes (and reads their lane cannot finish on the
+    /// caller's thread) fail with [`CallError::TimedOut`].
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         self.router.timer.stop();
@@ -842,16 +918,10 @@ impl GlobeShard {
 /// The shard runtime's [`EnginePort`]: issuing and polling both go
 /// through the owning lane's space lock, exactly like the trait-level
 /// path, so N engine threads contend only when their objects share a
-/// lane — objects on different lanes issue fully in parallel.
+/// lane — objects on different lanes issue fully in parallel. A read
+/// its lane can serve has its result ready when `issue` returns.
 struct ShardPort {
-    shards: Vec<ShardSpaces>,
     router: Arc<ShardRouter>,
-}
-
-impl ShardPort {
-    fn lane(&self, object: ObjectId) -> &ShardSpaces {
-        &self.shards[self.router.shard_of(object)]
-    }
 }
 
 impl crate::EnginePort for ShardPort {
@@ -861,20 +931,7 @@ impl crate::EnginePort for ShardPort {
         inv: InvocationMessage,
         is_read: bool,
     ) -> Result<RequestId, CallError> {
-        let mut spaces = self.lane(handle.object).lock();
-        let control = spaces
-            .get_mut(&handle.node)
-            .and_then(|space| space.control_mut(handle.object))
-            .ok_or(CallError::NotBound)?;
-        let mut ctx = ShardCtx {
-            node: handle.node,
-            router: &self.router,
-        };
-        if is_read {
-            control.client_read(handle.client, inv, &mut ctx)
-        } else {
-            control.client_write(handle.client, inv, &mut ctx)
-        }
+        self.router.issue(handle, inv, is_read)
     }
 
     fn try_result(
@@ -882,11 +939,7 @@ impl crate::EnginePort for ShardPort {
         handle: &ClientHandle,
         req: RequestId,
     ) -> Option<Result<Bytes, CallError>> {
-        let mut spaces = self.lane(handle.object).lock();
-        spaces
-            .get_mut(&handle.node)?
-            .control_mut(handle.object)?
-            .take_result(handle.client, req)
+        self.router.take_result(handle, req)
     }
 }
 
@@ -930,7 +983,7 @@ impl GlobeRuntime for GlobeShard {
         handle: &ClientHandle,
         req: RequestId,
     ) -> Option<Result<Bytes, CallError>> {
-        if let Some(result) = self.take_result(handle, req) {
+        if let Some(result) = self.router.take_result(handle, req) {
             return Some(result);
         }
         // Progress is autonomous (the shard workers run on their own
@@ -938,7 +991,7 @@ impl GlobeRuntime for GlobeShard {
         // cannot starve them, which keeps the contract's promise that a
         // plain issue/poll loop terminates.
         std::thread::sleep(POLL_BACKOFF);
-        self.take_result(handle, req)
+        self.router.take_result(handle, req)
     }
 
     fn read(&mut self, handle: &ClientHandle, inv: InvocationMessage) -> Result<Bytes, CallError> {
@@ -1017,7 +1070,6 @@ impl GlobeRuntime for GlobeShard {
         // that provide progress are running.
         self.ensure_started();
         Some(Arc::new(ShardPort {
-            shards: self.shards.clone(),
             router: Arc::clone(&self.router),
         }))
     }
